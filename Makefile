@@ -39,19 +39,23 @@ race:
 # fuzz-short gives the parsing surfaces a quick shake: the PAWS
 # client-side response decoder, the flight-recorder stream decoder,
 # and the invariant verifier replaying arbitrary decoded streams.
+# FuzzParse seeds include a 3 kB server response; capping how long
+# each new corpus entry is minimized keeps the fuzzer fuzzing instead
+# of spending its whole budget shrinking inputs.
 fuzz-short:
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/paws
+	$(GO) test -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=200x -run '^$$' ./internal/paws
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzVerify -fuzztime=10s -run '^$$' ./internal/invariant
 
 # bench runs the hot-path benchmark suite with allocation tracking:
 # the sim event core, the Wi-Fi CSMA and LTE subframe loops, the
-# propagation link cache, and the runner fleet.
+# propagation link cache, the runner fleet, and the PAWS client's
+# response decode (fast path vs encoding/json).
 bench:
 	$(GO) test -bench . -benchmem -benchtime 100ms -run '^$$' \
 		./internal/sim ./internal/propagation ./internal/wifi ./internal/lte \
 		./internal/runner ./internal/geo ./internal/stats ./internal/metro \
-		./internal/shard
+		./internal/shard ./internal/paws
 
 # Regenerate the committed engine benchmark artifact (also enforces
 # 0 allocs/op on Schedule+fire and the >=2x speedup floor).

@@ -256,7 +256,7 @@ type Result struct {
 }
 
 // apBuf is the per-AP staging recorder: selectors and clients emit
-// into it from their refresh goroutine, and the step barrier drains it
+// into it from their refresh worker, and the step barrier drains it
 // into the merged stream in AP order. One goroutine writes at a time
 // (the AP's own during refresh, the driver during drain), separated by
 // the WaitGroup barrier.
@@ -411,6 +411,32 @@ func Run(cfg Config, out trace.Recorder) (Result, error) {
 		return first
 	}
 
+	// One refresh worker per fleet slot for the whole run. The driver
+	// kicks a living AP's worker with the step's world time and joins
+	// it on wg; the worker reads fleet[i] only after the kick, which
+	// orders the read after a restart's write. Every return path
+	// closes the kicks and waits for the workers to exit.
+	var wg sync.WaitGroup
+	kicks := make([]chan time.Time, n)
+	for i := range kicks {
+		kicks[i] = make(chan time.Time)
+		go func(i int, kick <-chan time.Time) {
+			for now := range kick {
+				a := fleet[i]
+				a.sel.Refresh(now.Add(a.skew))
+				wg.Done()
+			}
+			wg.Done()
+		}(i, kicks[i])
+	}
+	defer func() {
+		wg.Add(n)
+		for _, k := range kicks {
+			close(k)
+		}
+		wg.Wait()
+	}()
+
 	stormChan := map[int]int{} // storm id → channel
 	nextEv := 0
 	for step := 1; step <= steps; step++ {
@@ -469,16 +495,12 @@ func Run(cfg Config, out trace.Recorder) (Result, error) {
 
 		// 2. Every living AP polls concurrently — this is where the
 		// server, lease store and cache see real contention.
-		var wg sync.WaitGroup
-		for _, a := range fleet {
+		for i, a := range fleet {
 			if a.down {
 				continue
 			}
 			wg.Add(1)
-			go func(a *ap) {
-				defer wg.Done()
-				a.sel.Refresh(now.Add(a.skew))
-			}(a)
+			kicks[i] <- now
 		}
 		wg.Wait()
 

@@ -3,6 +3,7 @@ package chaos
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -191,5 +192,28 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if len(a.recs) == 0 {
 		t.Fatal("world emitted no records")
+	}
+}
+
+// TestRunJoinsRefreshWorkers: Run keeps one refresh worker per fleet
+// slot for the whole world and must join every one before it returns,
+// so a campaign of worlds leaks no goroutines. The count is polled
+// briefly, since a goroutine that is about to exit, or the runtime's
+// finalizer goroutine while it runs, can be counted for a moment;
+// leaked workers block forever and never settle.
+func TestRunJoinsRefreshWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for seed := int64(0); seed < 4; seed++ {
+		if _, err := Run(FromSeed(seed, Config{Steps: 60, MaxSkew: time.Second}), nil); err != nil {
+			t.Fatal(err)
+		}
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			after = runtime.NumGoroutine()
+		}
+		if after > before {
+			t.Fatalf("seed %d: %d goroutines after Run, %d before", seed, after, before)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"mime"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -283,16 +284,7 @@ func (c *Client) callOnce(method, url string, params json.RawMessage, result any
 	fail := func(class ErrorClass, err error) *Error {
 		return &Error{Method: method, Class: class, Err: err}
 	}
-	req := rpcRequest{
-		JSONRPC: "2.0",
-		Method:  method,
-		Params:  params,
-		ID:      atomic.AddInt64(&c.nextID, 1),
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fail(Fatal, fmt.Errorf("encode request: %w", err))
-	}
+	body := appendRPCRequest(nil, method, params, atomic.AddInt64(&c.nextID, 1))
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = defaultHTTPClient
@@ -338,10 +330,42 @@ func (c *Client) callOnce(method, url string, params json.RawMessage, result any
 	return decodeRPCResponse(method, respBody, result)
 }
 
+// appendRPCRequest appends the JSON-RPC request envelope to b, byte for
+// byte what json.Marshal of the rpcRequest produces: method is one of
+// the Method* constants, which need no escaping, and params is
+// json.Marshal output, already compact and HTML-escaped, so the
+// encoder's second pass over it would change nothing.
+func appendRPCRequest(b []byte, method string, params json.RawMessage, id int64) []byte {
+	b = append(b, `{"jsonrpc":"2.0","method":"`...)
+	b = append(b, method...)
+	b = append(b, `","params":`...)
+	b = append(b, params...)
+	b = append(b, `,"id":`...)
+	b = strconv.AppendInt(b, id, 10)
+	return append(b, '}')
+}
+
 // decodeRPCResponse parses a JSON-RPC response body into result. It is
 // the parsing surface FuzzParse exercises: arbitrary bytes must yield
 // either a nil error or a classified *Error, never a panic.
+//
+// AVAIL_SPECTRUM_RESP bodies in the layout this package's Server
+// writes take decodeSpectrumFast; anything it declines, and every
+// other result type, takes the encoding/json two-pass decode of
+// decodeRPCResponseStd.
 func decodeRPCResponse(method string, body []byte, result any) *Error {
+	if out, ok := result.(*AvailSpectrumResp); ok {
+		if r, ok := decodeSpectrumFast(body); ok {
+			*out = r
+			return nil
+		}
+	}
+	return decodeRPCResponseStd(method, body, result)
+}
+
+// decodeRPCResponseStd is the reference decode: the envelope, then the
+// result, both through encoding/json.
+func decodeRPCResponseStd(method string, body []byte, result any) *Error {
 	var resp rpcResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		// Malformed or truncated JSON: classically a torn connection

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,7 +15,10 @@ import (
 // FuzzParse throws arbitrary bytes at the client-side JSON-RPC
 // response parser — the surface a chaos injector's malformed-JSON,
 // truncation and clock-skew faults hit. It must never panic, and on
-// success the decoded result must be structurally sane.
+// success the decoded result must be structurally sane. It is also a
+// differential test of the getSpectrum fast path: whenever that path
+// accepts a body, the encoding/json decode must succeed on it too and
+// yield a reflect.DeepEqual value.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		``,
@@ -28,10 +32,27 @@ func FuzzParse(f *testing.F) {
 		`null`,
 		"\xff\xfe",
 	}
+	// The canonical server body and near misses of it: a space after
+	// a colon, escapes, key case and duplicates, out-of-range and
+	// fractional numbers, trailing bytes.
+	canon := string(canonicalSpectrumBody(f))
+	seeds = append(seeds, canon)
+	for _, m := range spectrumNearMisses(canon) {
+		seeds = append(seeds, m.body)
+	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		if fast, ok := decodeSpectrumFast(body); ok {
+			want, err := stdSpectrum(body)
+			if err != nil {
+				t.Fatalf("fast path accepted a body the stdlib rejects (%v): %q", err, body)
+			}
+			if !reflect.DeepEqual(fast, want) {
+				t.Fatalf("fast path diverges from stdlib on %q:\n got %+v\nwant %+v", body, fast, want)
+			}
+		}
 		var out AvailSpectrumResp
 		err := decodeRPCResponse(MethodGetSpectrum, body, &out)
 		if err == nil {
